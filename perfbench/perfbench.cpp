@@ -5,12 +5,15 @@
 //
 //   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //
-// A run repeats the workload (fresh testbed, same seed) until --seconds have
-// passed, at least three times, and reports the median of each metric over
+// A run repeats the workload (fresh testbed, same seed) as often as fits in
+// --seconds, at least three times, and reports the median of each metric over
 // the repetitions. Simulated metrics must repeat exactly across repetitions.
+// Host times are scaled to a reference host speed by timing a fixed
+// calibration pass around each timed interval.
 // --trace 1 additionally reruns the workload once with a TraceLog attached,
 // reports the per-layer table, and checks that tracing perturbed nothing.
 // The last stdout line is one JSON object (see README.md).
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -108,7 +111,6 @@ struct HostSample {
   double user_s = 0;
   double sys_s = 0;
   std::uint64_t minor_faults = 0;
-  std::uint64_t maxrss_kb = 0;
   std::uint64_t allocs = 0;
   std::uint64_t alloc_bytes = 0;
 
@@ -119,12 +121,105 @@ struct HostSample {
     h.user_s = double(ru.ru_utime.tv_sec) + double(ru.ru_utime.tv_usec) * 1e-6;
     h.sys_s = double(ru.ru_stime.tv_sec) + double(ru.ru_stime.tv_usec) * 1e-6;
     h.minor_faults = std::uint64_t(ru.ru_minflt);
-    h.maxrss_kb = std::uint64_t(ru.ru_maxrss);
     h.allocs = g_allocs.load(std::memory_order_relaxed);
     h.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed);
     return h;
   }
+
+  /// What happened between two samples.
+  HostSample operator-(const HostSample& b) const {
+    return {user_s - b.user_s, sys_s - b.sys_s, minor_faults - b.minor_faults, allocs - b.allocs,
+            alloc_bytes - b.alloc_bytes};
+  }
+  HostSample& operator+=(const HostSample& d) {
+    user_s += d.user_s;
+    sys_s += d.sys_s;
+    minor_faults += d.minor_faults;
+    allocs += d.allocs;
+    alloc_bytes += d.alloc_bytes;
+    return *this;
+  }
 };
+
+// ---------------------------------------------------------------------------
+// Host speed. The VM this benchmark was written on runs the same work up to
+// 40 % slower for minutes at a time (see README.md). So a fixed calibration
+// pass is timed right before and after every timed interval, and host times
+// are reported scaled to a host on which one pass takes kCalRefS: measured
+// seconds x kCalRefS / mean of the two passes. The pass does the
+// simulator's two kinds of host work, random memory access and std::map
+// churn with small allocations, and calls no daosim code, so a change to
+// the simulator cannot move it.
+
+constexpr double kCalRefS = 0.07;
+std::atomic<std::uint64_t> g_cal_sink{0};
+
+double calibrate() {
+  static std::vector<std::uint64_t> mem(std::size_t(2) << 20);  // 16 MiB
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  std::uint64_t acc = 0;
+  auto next = [&x] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  };
+  const auto t0 = Clock::now();
+  for (int i = 0; i < 2'000'000; ++i) {
+    std::uint64_t& m = mem[next() & (mem.size() - 1)];
+    m += x;
+    acc += m;
+  }
+  std::map<std::uint64_t, std::vector<char>> tree;
+  for (int i = 0; i < 80'000; ++i) {
+    const std::uint64_t k = next() & 0xFFFF;
+    const auto it = tree.find(k);
+    if (it == tree.end()) {
+      tree.emplace(k, std::vector<char>(16 + (x >> 58)));
+    } else {
+      acc += it->second.size();
+      tree.erase(it);
+    }
+  }
+  tree.clear();
+  const double s = seconds_since(t0);
+  g_cal_sink.store(acc, std::memory_order_relaxed);  // keeps the work from being optimized away
+  return s;
+}
+
+double scale_to_ref(double cal_before, double cal_after) {
+  return kCalRefS / ((cal_before + cal_after) / 2);
+}
+
+/// Resets the process's resident-memory high-water mark (VmHWM) to its
+/// current size, after handing freed heap back to the kernel, so the next
+/// peak_rss_mb() covers only what runs after this call. False where the
+/// kernel refuses; peak_rss_mb() then reads the whole process's peak.
+bool reset_peak_rss() {
+  malloc_trim(0);
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f == nullptr) return false;
+  const bool wrote = std::fputs("5", f) >= 0;
+  return std::fclose(f) == 0 && wrote;
+}
+
+/// VmHWM from /proc/self/status, or ru_maxrss where that is unreadable.
+double peak_rss_mb() {
+  std::uint64_t kb = 0;
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %" SCNu64, &kb) == 1) break;
+    }
+    std::fclose(f);
+  }
+  if (kb == 0) {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    kb = std::uint64_t(ru.ru_maxrss);
+  }
+  return double(kb) / 1024.0;
+}
 
 // ---------------------------------------------------------------------------
 // Layer counters, read through the testbed's public accessors.
@@ -233,6 +328,25 @@ struct Layers {
   }
 };
 
+/// Bytes the engines' nodes received and sent on the fabric, from its
+/// per-node counters.
+struct EngineWire {
+  std::uint64_t rx = 0, tx = 0;
+
+  static EngineWire read(cluster::Testbed& tb) {
+    EngineWire w;
+    for (const telemetry::Registry* r : tb.registries()) {
+      if (r->root() != "fabric") continue;
+      for (std::uint32_t e = 0; e < tb.engine_count(); ++e) {
+        const net::NodeId n = tb.engine(e).node();
+        w.rx += counter(*r, strfmt("node/%u/rx_bytes", unsigned(n)));
+        w.tx += counter(*r, strfmt("node/%u/tx_bytes", unsigned(n)));
+      }
+    }
+    return w;
+  }
+};
+
 std::uint64_t pool_commands_applied(cluster::Testbed& tb) {
   std::uint64_t n = 0;
   for (const telemetry::Registry* r : tb.registries()) {
@@ -287,6 +401,9 @@ constexpr std::uint64_t kOwPrefill = 64 * kKiB;
 constexpr std::uint64_t kOwMinExtent = 4 * kKiB;
 constexpr std::uint64_t kOwMaxExtent = 64 * kKiB;
 constexpr std::uint32_t kOwOpsPerClient = 400;
+// Idle simulated time at the end of set-up: ten aggregation ticks, longer
+// than a first snap_list query plus its redirect to the leader.
+constexpr sim::Time kOwSettle = 100 * sim::kMs;
 
 struct Workload {
   std::string name;
@@ -324,7 +441,7 @@ cluster::ClusterConfig cluster_config(const Workload& w, std::uint64_t seed) {
 // One repetition of a workload.
 
 struct JobResult {
-  double run_s = 0;  // host seconds inside the job call
+  double run_s = 0;  // host seconds inside the job call, scaled to kCalRefS
   std::uint64_t transfers = 0;
   std::uint64_t failed = 0;
   double write_gibs = 0;
@@ -334,10 +451,14 @@ struct JobResult {
 };
 
 struct Rep {
-  double wall_s = 0;  // host seconds inside the job calls
+  double wall_s = 0;      // host seconds inside the job calls, scaled to kCalRefS
+  double wall_raw_s = 0;  // the same, as measured
+  std::vector<double> cal_s;  // calibration passes, before and after each job
+  double setup_s = 0;
+  double peak_rss_mb = 0;  // set-up and jobs of this repetition
   std::array<JobResult, kIfaces.size()> jobs;
   Layers layers;  // delta over the jobs
-  HostSample host0, host1;
+  HostSample host;  // summed over the job calls
   std::uint64_t trace_hash = 0;
   std::uint64_t commands_applied = 0;
   std::vector<std::string> errors;
@@ -358,16 +479,24 @@ struct Rep {
   }
 };
 
-/// Runs `job` as one timed job of `rep`; with `traced`, a fresh TraceLog
-/// records it and its per-op stage profile is added to the rep's.
+/// Runs `job` as one timed job of `rep` and returns its host seconds,
+/// scaled to kCalRefS. With `traced`, a fresh TraceLog records it and its
+/// per-op stage profile is added to the rep's.
 template <typename F>
 double timed_job(cluster::Testbed& tb, bool traced, Rep& rep, F&& job) {
   telemetry::TraceLog log;
   log.set_keep_unsampled(false);
   if (traced) tb.attach_trace(&log);
+  if (rep.cal_s.empty()) rep.cal_s.push_back(calibrate());
+  const HostSample h0 = HostSample::now();
   const auto t0 = Clock::now();
   job();
-  const double s = seconds_since(t0);
+  const double raw = seconds_since(t0);
+  rep.host += HostSample::now() - h0;
+  rep.cal_s.push_back(calibrate());
+  const double s = raw * scale_to_ref(rep.cal_s.end()[-2], rep.cal_s.back());
+  rep.wall_raw_s += raw;
+  rep.wall_s += s;
   if (traced) {
     tb.attach_trace(nullptr);
     for (const auto& [op, p] : log.profile_ops()) {
@@ -396,11 +525,13 @@ void run_ior(const IorShape& shape, cluster::Testbed& tb, ior::IorRunner& runner
     cfg.file_per_process = shape.file_per_process;
     const std::uint64_t u0 = tb.client_rpc_latency("update").count;
     const std::uint64_t f0 = tb.client_rpc_latency("fetch").count;
+    const EngineWire w0 = EngineWire::read(tb);
     ior::IorResult r;
     JobResult& job = rep.jobs[i];
     job.run_s = timed_job(tb, traced, rep, [&] { r = runner.run(cfg); });
     job.update_rpcs = tb.client_rpc_latency("update").count - u0;
     job.fetch_rpcs = tb.client_rpc_latency("fetch").count - f0;
+    const EngineWire w1 = EngineWire::read(tb);
     job.transfers = 2 * ranks * (shape.block / shape.transfer);
     job.failed = r.read_fill_errors + r.data_loss_events + r.verify_errors;
     job.write_gibs = r.write.gib_per_sec();
@@ -408,8 +539,9 @@ void run_ior(const IorShape& shape, cluster::Testbed& tb, ior::IorRunner& runner
     const std::string n = iface_name(iface);
     rep.check(r.read_fill_errors == 0, n + ": short reads");
     rep.check(r.data_loss_events == 0, n + ": data_loss_events != 0");
-    rep.check(r.write.bytes == phase_bytes && r.read.bytes == phase_bytes,
-              n + ": phase bytes != ranks x block");
+    // Every written byte reached an engine and every read byte left one.
+    rep.check(w1.rx - w0.rx >= phase_bytes, n + ": engines received < ranks x block bytes");
+    rep.check(w1.tx - w0.tx >= phase_bytes, n + ": engines sent < ranks x block bytes");
     rep.check(r.write.seconds > 0 && r.read.seconds > 0, n + ": empty phase");
   }
 }
@@ -452,6 +584,35 @@ struct OwFile {
   }
 };
 
+/// One client's object behind one interface, with the seeded streams that
+/// drive it and a shadow image of what it last wrote.
+struct OwClient {
+  OwFile file;
+  sim::Xoshiro256 ops;
+  sim::Xoshiro256 bytes;
+  std::vector<std::byte> shadow;
+  std::vector<std::byte> buf;
+
+  OwClient(std::uint64_t seed, std::uint32_t c)
+      // The streams depend on the seed and the client only, so every
+      // interface is measured on identical inputs.
+      : ops(seed ^ (0x0E5E0000ULL + c)),
+        bytes(seed ^ (0xB7E50000ULL + c)),
+        shadow(kOwObject),
+        buf(kOwMaxExtent) {}
+
+  /// Writes `len` fresh seeded bytes at `off` and records them in the shadow.
+  CoTask<Errno> write(std::uint64_t off, std::uint64_t len) {
+    for (std::uint64_t i = 0; i < len; i += 8) {
+      const std::uint64_t w = bytes();
+      std::memcpy(buf.data() + i, &w, std::min<std::uint64_t>(8, len - i));
+    }
+    const Errno rc = co_await file.write(off, std::span<const std::byte>(buf.data(), len));
+    if (rc == Errno::ok) std::memcpy(shadow.data() + off, buf.data(), len);
+    co_return rc;
+  }
+};
+
 /// Per-interface simulated op accounting over every client.
 struct OwStats {
   std::uint64_t write_bytes = 0, read_bytes = 0;
@@ -467,7 +628,12 @@ class Overwrite {
   Overwrite(cluster::Testbed& tb, std::uint64_t seed) : tb_(tb), seed_(seed) {}
 
   /// Set-up before the first timed transfer: container, DFS and DFuse
-  /// mounts on every client node, the test directory and the native OIDs.
+  /// mounts on every client node, and every client's object behind every
+  /// interface, opened and prefilled so that later reads cover written
+  /// bytes. It then idles for kOwSettle: every engine holding data runs
+  /// aggregation passes, and on its first pass learns which pool-service
+  /// replica leads. The timed jobs then start with aggregation in its
+  /// steady state, whichever replica won the election.
   CoTask<void> setup() {
     auto created = co_await tb_.client(0).cont_create(cluster::kPoolUuid, {});
     DAOSIM_REQUIRE(created.ok(), "cont_create: %s", errno_name(created.error()));
@@ -482,18 +648,43 @@ class Overwrite {
     auto base = co_await tb_.client(0).alloc_oids(cluster::kPoolUuid, clients());
     DAOSIM_REQUIRE(base.ok(), "alloc_oids: %s", errno_name(base.error()));
     oid_base_ = *base;
+    sim::WaitGroup wg(tb_.sched());
+    for (const Iface iface : kIfaces) {
+      for (std::uint32_t c = 0; c < clients(); ++c) {
+        clients_.push_back(std::make_unique<OwClient>(seed_, c));
+        wg.spawn(open_and_prefill(iface, c, *clients_.back()));
+      }
+    }
+    co_await wg.wait();
+    co_await tb_.sched().delay(kOwSettle);
   }
 
   /// One interface's job: every client runs concurrently to completion.
   CoTask<void> job(Iface iface, OwStats* stats) {
+    const std::size_t i = std::size_t(std::find(kIfaces.begin(), kIfaces.end(), iface) -
+                                      kIfaces.begin());
     sim::WaitGroup wg(tb_.sched());
-    for (std::uint32_t c = 0; c < clients(); ++c) wg.spawn(client_body(iface, c, stats));
+    for (std::uint32_t c = 0; c < clients(); ++c) {
+      wg.spawn(mixed(*clients_[i * clients() + c], stats));
+    }
     co_await wg.wait();
   }
 
   static std::uint32_t clients() { return kOwNodes * kOwClientsPerNode; }
 
  private:
+  CoTask<void> open_and_prefill(Iface iface, std::uint32_t c, OwClient& cl) {
+    auto opened = co_await open(iface, c);
+    DAOSIM_REQUIRE(opened.ok(), "client %u: open %s: %s", c, iface_name(iface),
+                   errno_name(opened.error()));
+    cl.file = std::move(*opened);
+    for (std::uint64_t off = 0; off < kOwObject; off += kOwPrefill) {
+      const Errno rc = co_await cl.write(off, kOwPrefill);
+      DAOSIM_REQUIRE(rc == Errno::ok, "client %u: prefill %s: %s", c, iface_name(iface),
+                     errno_name(rc));
+    }
+  }
+
   CoTask<Result<OwFile>> open(Iface iface, std::uint32_t c) {
     const std::uint32_t node = c / kOwClientsPerNode;
     const std::string path = strfmt("/ow/%s.%u", iface_name(iface), c);
@@ -534,65 +725,34 @@ class Overwrite {
     co_return std::move(f);
   }
 
-  CoTask<void> client_body(Iface iface, std::uint32_t c, OwStats* stats) {
-    auto opened = co_await open(iface, c);
-    DAOSIM_REQUIRE(opened.ok(), "client %u: open %s: %s", c, iface_name(iface),
-                   errno_name(opened.error()));
-    OwFile f = std::move(*opened);
-    // The op stream depends on the seed and the client only, so every
-    // interface is measured on identical inputs.
-    sim::Xoshiro256 ops(seed_ ^ (0x0E5E0000ULL + c));
-    sim::Xoshiro256 bytes(seed_ ^ (0xB7E50000ULL + c));
-    std::vector<std::byte> shadow(kOwObject);
-    std::vector<std::byte> buf(kOwMaxExtent);
+  /// The timed mixed phase of one client, then the close.
+  CoTask<void> mixed(OwClient& cl, OwStats* stats) {
     std::vector<std::byte> out(kOwMaxExtent);
-    auto fill = [&](std::uint64_t len) {
-      for (std::uint64_t i = 0; i < len; i += 8) {
-        const std::uint64_t w = bytes();
-        std::memcpy(buf.data() + i, &w, std::min<std::uint64_t>(8, len - i));
-      }
-    };
-    // Prefill writes (mixed = false) make every later read cover written
-    // bytes; they are not part of the mixed-phase bandwidth.
-    auto timed_write = [&](std::uint64_t off, std::uint64_t len, bool mixed) -> CoTask<void> {
-      fill(len);
+    for (std::uint32_t i = 0; i < kOwOpsPerClient; ++i) {
+      const bool is_write = cl.ops.uniform(2) == 0;
+      const std::uint64_t len = kOwMinExtent + cl.ops.uniform(kOwMaxExtent - kOwMinExtent + 1);
+      const std::uint64_t off = cl.ops.uniform(kOwObject - len + 1);
       const sim::Time t0 = tb_.sched().now();
-      const Errno rc = co_await f.write(off, std::span<const std::byte>(buf.data(), len));
       ++stats->ops;
-      if (rc != Errno::ok) {
-        ++stats->failed;
-        co_return;
-      }
-      if (mixed) {
+      if (is_write) {
+        if (co_await cl.write(off, len) != Errno::ok) {
+          ++stats->failed;
+          continue;
+        }
         stats->write_ns += tb_.sched().now() - t0;
         stats->write_bytes += len;
-      }
-      std::memcpy(shadow.data() + off, buf.data(), len);
-    };
-
-    for (std::uint64_t off = 0; off < kOwObject; off += kOwPrefill) {
-      co_await timed_write(off, kOwPrefill, false);
-    }
-    for (std::uint32_t i = 0; i < kOwOpsPerClient; ++i) {
-      const bool is_write = ops.uniform(2) == 0;
-      const std::uint64_t len = kOwMinExtent + ops.uniform(kOwMaxExtent - kOwMinExtent + 1);
-      const std::uint64_t off = ops.uniform(kOwObject - len + 1);
-      if (is_write) {
-        co_await timed_write(off, len, true);
         continue;
       }
-      const sim::Time t0 = tb_.sched().now();
-      auto got = co_await f.read(off, std::span<std::byte>(out.data(), len));
-      ++stats->ops;
+      auto got = co_await cl.file.read(off, std::span<std::byte>(out.data(), len));
       if (!got.ok() || *got != len ||
-          std::memcmp(out.data(), shadow.data() + off, len) != 0) {
+          std::memcmp(out.data(), cl.shadow.data() + off, len) != 0) {
         ++stats->failed;
         continue;
       }
       stats->read_ns += tb_.sched().now() - t0;
       stats->read_bytes += len;
     }
-    const Errno rc = co_await f.close();
+    const Errno rc = co_await cl.file.close();
     if (rc != Errno::ok) ++stats->failed;
   }
 
@@ -601,6 +761,7 @@ class Overwrite {
   std::vector<std::unique_ptr<dfs::DfsMount>> dfs_;
   std::vector<std::unique_ptr<posix::DfuseMount>> dfuse_;
   std::uint64_t oid_base_ = 0;
+  std::vector<std::unique_ptr<OwClient>> clients_;  // interface-major, as kIfaces
 };
 
 void run_overwrite(cluster::Testbed& tb, Overwrite& ow, bool traced, Rep& rep) {
@@ -662,24 +823,25 @@ void set_up(const Workload& w, std::uint64_t seed, Bed& bed) {
   bed.setup_s = seconds_since(t0);
 }
 
+/// One repetition on a fresh testbed. The caller resets the peak-RSS mark
+/// before, so rep.peak_rss_mb covers this repetition alone.
 Rep run_rep(const Workload& w, std::uint64_t seed, bool traced) {
   Rep rep;
   Bed bed;
   set_up(w, seed, bed);
+  rep.setup_s = bed.setup_s;
   cluster::Testbed& tb = *bed.tb;
 
   const Layers before = Layers::read(tb);
-  rep.host0 = HostSample::now();
   if (w.ior) {
     run_ior(*w.ior, tb, *bed.runner, traced, rep);
   } else {
     run_overwrite(tb, *bed.ow, traced, rep);
   }
-  rep.host1 = HostSample::now();
   rep.layers = Layers::read(tb) - before;
-  for (const JobResult& j : rep.jobs) rep.wall_s += j.run_s;
   rep.trace_hash = tb.sched().trace_hash();
   rep.commands_applied = pool_commands_applied(tb);
+  rep.peak_rss_mb = peak_rss_mb();
   return rep;
 }
 
@@ -695,11 +857,19 @@ using Metrics = std::map<std::string, Metric>;
 
 double us(double ns) { return ns / 1e3; }
 
-/// End-to-end metrics of one rep; setup_s and peak_rss_mb are per run and
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+
+/// End-to-end metrics of one rep; setup_s is sampled over the whole run and
 /// added by the caller.
 Metrics end_to_end(const Rep& r) {
   Metrics m;
   m["wall_s"] = {r.wall_s, "s"};
+  m["peak_rss_mb"] = {r.peak_rss_mb, "MB"};
   for (std::size_t i = 0; i < kIfaces.size(); ++i) {
     const std::string n = iface_name(kIfaces[i]);
     m["sim_write_gibs." + n] = {r.jobs[i].write_gibs, "GiB/s", true};
@@ -717,13 +887,13 @@ Metrics per_layer(const Rep& r) {
   Metrics m;
   m["sim.events"] = {double(l.events), "count", true};
   m["sim.host_ns_per_event"] = {ratio(r.wall_s * 1e9, double(l.events)), "ns"};
-  m["host.user_s"] = {r.host1.user_s - r.host0.user_s, "s"};
-  m["host.sys_s"] = {r.host1.sys_s - r.host0.sys_s, "s"};
-  m["host.minor_faults"] = {double(r.host1.minor_faults - r.host0.minor_faults), "count"};
-  m["host.allocs_per_transfer"] = {double(r.host1.allocs - r.host0.allocs) / transfers,
-                                   "allocs/transfer"};
-  m["host.alloc_bytes_per_transfer"] = {
-      double(r.host1.alloc_bytes - r.host0.alloc_bytes) / transfers, "B/transfer"};
+  m["host.wall_raw_s"] = {r.wall_raw_s, "s"};
+  m["host.calibration_s"] = {median(r.cal_s), "s"};
+  m["host.user_s"] = {r.host.user_s, "s"};
+  m["host.sys_s"] = {r.host.sys_s, "s"};
+  m["host.minor_faults"] = {double(r.host.minor_faults), "count"};
+  m["host.allocs_per_transfer"] = {double(r.host.allocs) / transfers, "allocs/transfer"};
+  m["host.alloc_bytes_per_transfer"] = {double(r.host.alloc_bytes) / transfers, "B/transfer"};
   m["pool.commands_applied"] = {double(r.commands_applied), "count", true};
   for (std::size_t i = 0; i < kIfaces.size(); ++i) {
     const std::string n = iface_name(kIfaces[i]);
@@ -775,12 +945,6 @@ void add_trace_metrics(const Rep& traced, Metrics& m) {
       m[strfmt("trace.%s.%s_us", op, telemetry::TraceLog::stage_name(st))] = {v, "sim_us", true};
     }
   }
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
 }
 
 /// Median over reps; exact metrics must agree across reps.
@@ -861,37 +1025,54 @@ int main(int argc, char** argv) {
   std::vector<std::string> errors;
   std::vector<Rep> reps;
   try {
-    constexpr std::size_t kSetupsPerRep = 10;
     constexpr std::size_t kMinReps = 3;
+    constexpr std::size_t kMinSetups = 5;
+    constexpr double kSetupShare = 0.1;
     constexpr double kLimitS = 120;
-    // Set-up takes about a millisecond, so it is timed apart from the jobs:
-    // a burst of set-ups after every repetition, median over all of them.
-    // Host speed drifts within a run; spreading the samples over the whole
-    // run keeps one slow or fast stretch from deciding the median.
-    std::vector<double> build_s, start_s, setup_s;
-    auto sample_setups = [&] {
-      for (std::size_t i = 0; i < kSetupsPerRep; ++i) {
+    // Set-up takes 1 ms (IOR) to 0.1 s (overwrite_mixed), so it is timed
+    // apart from the jobs: after every repetition, fresh testbeds are set
+    // up for a tenth of the time that repetition took, at least kMinSetups
+    // times, and setup_s is the median over all of them. Host speed drifts
+    // within a run; samples spread over the whole run keep one slow or fast
+    // stretch from deciding the median. Each burst is scaled to kCalRefS by
+    // the calibration passes just before and after it.
+    std::vector<double> build_s, start_s, setup_s, setup_raw_s;
+    auto sample_setups = [&](double budget_s, double cal_before) {
+      std::vector<std::array<double, 3>> burst;  // build, start, whole set-up
+      const auto t0 = Clock::now();
+      for (std::size_t i = 0; i < kMinSetups || seconds_since(t0) < budget_s; ++i) {
         Bed bed;
         set_up(w, seed, bed);
-        build_s.push_back(bed.build_s);
-        start_s.push_back(bed.start_s);
-        setup_s.push_back(bed.setup_s);
+        burst.push_back({bed.build_s, bed.start_s, bed.setup_s});
+      }
+      const double scale = scale_to_ref(cal_before, calibrate());
+      for (const auto& [build, start, setup] : burst) {
+        build_s.push_back(build * scale);
+        start_s.push_back(start * scale);
+        setup_s.push_back(setup * scale);
+        setup_raw_s.push_back(setup);
       }
     };
-    // At least three repetitions for a median; never start one that would
-    // run past the per-run time limit.
+    if (!reset_peak_rss()) {
+      std::fprintf(stderr, "perfbench: cannot reset VmHWM; peak_rss_mb is the process's peak\n");
+    }
+    // At least kMinReps repetitions for a median; never start one that
+    // would end past --seconds (or, for the minimum, past kLimitS).
     const auto run0 = Clock::now();
     for (;;) {
+      reset_peak_rss();
+      const auto rep0 = Clock::now();
       reps.push_back(run_rep(w, seed, false));
-      sample_setups();
       const Rep& last = reps.back();
-      std::fprintf(stderr, "perfbench: %s repetition %zu: wall_s %.4f cpu_s %.4f maxrss_mb %.1f\n",
-                   w.name.c_str(), reps.size(), last.wall_s,
-                   last.host1.user_s + last.host1.sys_s - last.host0.user_s - last.host0.sys_s,
-                   double(last.host1.maxrss_kb) / 1024.0);
+      sample_setups(kSetupShare * seconds_since(rep0), last.cal_s.back());
+      std::fprintf(stderr,
+                   "perfbench: %s repetition %zu: wall_s %.4f raw %.4f cpu %.4f calibration %.4f "
+                   "peak_rss_mb %.1f\n",
+                   w.name.c_str(), reps.size(), last.wall_s, last.wall_raw_s,
+                   last.host.user_s + last.host.sys_s, median(last.cal_s), last.peak_rss_mb);
       const double elapsed = seconds_since(run0);
       const double per_rep = elapsed / double(reps.size());
-      if (reps.size() >= kMinReps && elapsed >= double(seconds)) break;
+      if (reps.size() >= kMinReps && elapsed + per_rep > double(seconds)) break;
       if (elapsed + per_rep > kLimitS) break;
     }
     std::fprintf(stderr, "perfbench: %zu set-ups: min %.6f median %.6f max %.6f s\n",
@@ -908,10 +1089,10 @@ int main(int argc, char** argv) {
     }
     Metrics e2e = combine(e2e_reps, errors);
     e2e["setup_s"] = {median(setup_s), "s"};
-    e2e["peak_rss_mb"] = {double(HostSample::now().maxrss_kb) / 1024.0, "MB"};
     Metrics layer = combine(layer_reps, errors);
     layer["cluster.build_s"] = {median(build_s), "s"};
     layer["cluster.start_s"] = {median(start_s), "s"};
+    layer["host.setup_raw_s"] = {median(setup_raw_s), "s"};
     const Rep& base = reps.front();
 
     std::printf("workload %s  seed %" PRIu64 "  repetitions %zu  trace_hash 0x%016" PRIx64 "\n",
@@ -922,12 +1103,12 @@ int main(int argc, char** argv) {
                 base.layers.update_rpc.count, base.layers.fetch_rpc.count);
     std::printf("per-transfer bases: transfers %" PRIu64 "  allocs %" PRIu64 "  alloc_bytes %" PRIu64
                 "  (first repetition)\n",
-                base.attempted(), base.host1.allocs - base.host0.allocs,
-                base.host1.alloc_bytes - base.host0.alloc_bytes);
+                base.attempted(), base.host.allocs, base.host.alloc_bytes);
     print_table("end-to-end (median over repetitions):", e2e);
 
     Metrics reported = e2e;
     if (trace == 1) {
+      reset_peak_rss();
       const Rep traced = run_rep(w, seed, true);
       for (const std::string& e : traced.errors) errors.push_back("traced: " + e);
       if (traced.trace_hash != base.trace_hash) {
