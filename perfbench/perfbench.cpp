@@ -400,7 +400,7 @@ constexpr std::uint64_t kOwObject = 512 * kKiB;
 constexpr std::uint64_t kOwPrefill = 64 * kKiB;
 constexpr std::uint64_t kOwMinExtent = 4 * kKiB;
 constexpr std::uint64_t kOwMaxExtent = 64 * kKiB;
-constexpr std::uint32_t kOwOpsPerClient = 400;
+constexpr std::uint32_t kOwOpsPerClient = 600;
 // Idle simulated time at the end of set-up: ten aggregation ticks, longer
 // than a first snap_list query plus its redirect to the leader.
 constexpr sim::Time kOwSettle = 100 * sim::kMs;
@@ -454,7 +454,6 @@ struct Rep {
   double wall_s = 0;      // host seconds inside the job calls, scaled to kCalRefS
   double wall_raw_s = 0;  // the same, as measured
   std::vector<double> cal_s;  // calibration passes, before and after each job
-  double setup_s = 0;
   double peak_rss_mb = 0;  // set-up and jobs of this repetition
   std::array<JobResult, kIfaces.size()> jobs;
   Layers layers;  // delta over the jobs
@@ -829,7 +828,6 @@ Rep run_rep(const Workload& w, std::uint64_t seed, bool traced) {
   Rep rep;
   Bed bed;
   set_up(w, seed, bed);
-  rep.setup_s = bed.setup_s;
   cluster::Testbed& tb = *bed.tb;
 
   const Layers before = Layers::read(tb);
