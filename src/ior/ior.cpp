@@ -52,6 +52,9 @@ struct IorRunner::JobState {
   std::uint64_t verify_errors = 0;
   std::uint64_t fill_errors = 0;
   std::uint64_t data_loss_errors = 0;
+  /// Discard mode: one transfer-sized sink every read of the job lands in.
+  /// Its contents are unspecified; nothing reads them.
+  std::vector<std::byte> sink;
   std::unique_ptr<mpiio::CollectiveFile> cfile;
   std::map<std::string, std::shared_ptr<h5::H5Meta>> h5meta;
   std::uint64_t oid_base = 0;  // daos_array backend
@@ -89,6 +92,9 @@ sim::CoTask<void> IorRunner::setup() {
 }
 
 IorResult IorRunner::run(const IorConfig& cfg) {
+  // Discard mode keeps no payload to compare against.
+  DAOSIM_REQUIRE(!cfg.verify || tb_.config().payload == vos::PayloadMode::store,
+                 "verify needs payload mode store");
   IorResult result;
   tb_.run(job_main(&cfg, &result));
   ++job_seq_;
@@ -108,6 +114,9 @@ sim::CoTask<void> IorRunner::job_main(const IorConfig* cfg, IorResult* result) {
     DAOSIM_REQUIRE(mk2 == Errno::ok, "mkdir %s: %s", st->dir.c_str(), errno_name(mk2));
   }
   const int p = int(ranks());
+  if (cfg->do_read && tb_.config().payload == vos::PayloadMode::discard) {
+    st->sink.resize(std::size_t(cfg->transfer_size));
+  }
   if (cfg->api == Api::mpiio && !cfg->file_per_process) {
     st->cfile = std::make_unique<mpiio::CollectiveFile>(*world_);
   }
@@ -441,11 +450,16 @@ sim::CoTask<void> IorRunner::rank_body(mpi::Comm comm, const IorConfig* cfg,
       for (std::uint32_t t = 0; t < transfers; ++t) {
         const std::uint64_t off = file_offset(target, seg, t);
         auto op = [&, off]() -> sim::CoTask<void> {
-          // Per-op sink (bounded by eq_depth); in discard mode the payload
-          // bytes never materialize, only the size matters.
-          std::vector<std::byte> rbuf(std::size_t(cfg->transfer_size));
+          // Store mode: per-op buffer (bounded by eq_depth) that verify
+          // checks. Discard mode: every read of the job shares st->sink.
+          std::vector<std::byte> rbuf;
+          std::span<std::byte> out = st->sink;
+          if (store) {
+            rbuf.resize(std::size_t(cfg->transfer_size));
+            out = rbuf;
+          }
           std::uint64_t filled = cfg->transfer_size;
-          auto n = co_await rf->read(off, rbuf);
+          auto n = co_await rf->read(off, out);
           if (!n.ok() && n.error() == Errno::data_loss) {
             // Every replica of the group is gone: count the event, read on.
             ++st->data_loss_errors;

@@ -36,7 +36,7 @@ struct IorConfig {
   bool file_per_process = true;  // easy; false = hard (shared file)
   bool collective = false;       // MPIIO collective buffering (-c)
   bool reorder_tasks = true;     // IOR -C: read a neighbour's data
-  bool verify = false;           // compare read data (payload mode store only)
+  bool verify = false;           // compare read data; run() rejects it unless payload is store
   std::uint8_t oclass = std::uint8_t(client::ObjClass::SX);
   std::string test_dir = "/ior";
   bool do_write = true;

@@ -158,21 +158,67 @@ TEST(Ior, ObjectClassChangesPlacementSpread) {
   EXPECT_EQ(sx_engines, 4u);  // SX spreads over every engine
 }
 
+/// Bytes the engines' nodes have sent on the fabric so far.
+std::uint64_t engine_tx_bytes(Testbed& tb) {
+  std::uint64_t tx = 0;
+  for (const telemetry::Registry* r : tb.registries()) {
+    if (r->root() != "fabric") continue;
+    for (std::uint32_t e = 0; e < tb.engine_count(); ++e) {
+      const auto* c = r->find<telemetry::Counter>(
+          strfmt("node/%u/tx_bytes", unsigned(tb.engine(e).node())));
+      if (c != nullptr) tx += c->value();
+    }
+  }
+  return tx;
+}
+
 TEST(Ior, MetadataOnlyModeRunsLargeJob) {
+  // Discard mode keeps no payload: every read of a job lands in one shared
+  // sink, with up to eq_depth reads per rank in flight on it at once.
   auto ccfg = small_cluster();
   ccfg.payload = vos::PayloadMode::discard;
   Testbed tb(ccfg);
   tb.start();
   IorRunner runner(tb, 4);
-  IorConfig cfg;
-  cfg.api = Api::dfs;
-  cfg.transfer_size = 4 * kMiB;
-  cfg.block_size = 32 * kMiB;  // 8 ranks x 32 MiB with no payload memory
-  cfg.verify = false;
-  const IorResult res = runner.run(cfg);
-  EXPECT_EQ(res.read_fill_errors, 0u);
-  EXPECT_GT(res.write.gib_per_sec(), 0.0);
-  EXPECT_GT(res.read.gib_per_sec(), 0.0);
+  struct Case {
+    Api api;
+    bool fpp;
+    bool collective;
+  };
+  for (const Case c : {Case{Api::posix, true, false}, Case{Api::dfs, true, false},
+                       Case{Api::mpiio, false, false}, Case{Api::mpiio, false, true},
+                       Case{Api::hdf5, true, false}, Case{Api::daos_array, true, false}}) {
+    IorConfig cfg;
+    cfg.api = c.api;
+    cfg.file_per_process = c.fpp;
+    cfg.collective = c.collective;
+    cfg.eq_depth = c.collective ? 1 : 4;  // collective calls cannot overlap
+    cfg.transfer_size = 4 * kMiB;
+    cfg.block_size = 32 * kMiB;  // 8 ranks x 32 MiB with no payload memory
+    const std::string name = std::string(to_string(c.api)) + (c.collective ? " collective" : "");
+    const std::uint64_t tx_before = engine_tx_bytes(tb);
+    const IorResult res = runner.run(cfg);
+    EXPECT_EQ(res.read_fill_errors, 0u) << name;
+    EXPECT_EQ(res.data_loss_events, 0u) << name;
+    EXPECT_EQ(res.write.bytes, 256u * kMiB) << name;
+    EXPECT_EQ(res.read.bytes, 256u * kMiB) << name;
+    // Every read byte crossed the fabric from an engine.
+    EXPECT_GE(engine_tx_bytes(tb) - tx_before, 256u * kMiB) << name;
+    EXPECT_GT(res.write.gib_per_sec(), 0.0) << name;
+    EXPECT_GT(res.read.gib_per_sec(), 0.0) << name;
+  }
+  tb.stop();
+}
+
+TEST(Ior, VerifyRequiresStoredPayload) {
+  // Discard mode keeps no bytes to compare, so verify there is refused
+  // instead of silently passing.
+  auto ccfg = small_cluster();
+  ccfg.payload = vos::PayloadMode::discard;
+  Testbed tb(ccfg);
+  tb.start();
+  IorRunner runner(tb, 4);
+  EXPECT_THROW((void)runner.run(small_job(Api::dfs, true)), DaosimError);
   tb.stop();
 }
 

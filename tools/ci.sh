@@ -40,7 +40,9 @@
 #                          perf trajectories parse, are non-empty, and that
 #                          background aggregation keeps the overwrite
 #                          endurance read cost flat (<= 1.2x first pass)
-#                          while the agg-off series grows
+#                          while the agg-off series grows; then a 128-rank
+#                          discard-mode ior_cli run (8 MiB transfers) whose
+#                          peak RSS must stay under 256 MiB
 #   tools/ci.sh analyze    libclang suspension-safety analyzer: rule self-test
 #                          on the seeded fixtures, then the AST scan of every
 #                          src/ TU via compile_commands.json. Standalone runs
@@ -269,7 +271,7 @@ if [[ $STAGE == bench-smoke ]]; then
   echo "=== [bench-smoke] configure + build ==="
   cmake -B build-ci-bench -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-ci-bench -j "$JOBS" \
-    --target ablation_xfersize ablation_dtx ablation_overwrite
+    --target ablation_xfersize ablation_dtx ablation_overwrite ior_cli
   echo "=== [bench-smoke] run ==="
   (cd build-ci-bench/bench && ./ablation_xfersize --smoke && ./ablation_dtx --smoke &&
    ./ablation_overwrite --smoke)
@@ -317,6 +319,18 @@ assert off[-1]["read_p99_us"] > off[0]["read_p99_us"], \
 print(f"bench-smoke OK: overwrite flat-cost "
       f"{on[0]['read_p99_us']:.2f} -> {on[-1]['read_p99_us']:.2f} probes/op (agg on), "
       f"{off[0]['read_p99_us']:.2f} -> {off[-1]['read_p99_us']:.2f} (off)")
+EOF
+  echo "=== [bench-smoke] discard-mode IOR peak RSS ==="
+  # Discard mode keeps no payload: 128 ranks x 8 MiB transfers must not hold
+  # a transfer buffer per in-flight read (that peaks near 1 GiB).
+  python3 - <<'EOF'
+import resource
+import subprocess
+subprocess.run(["build-ci-bench/examples/ior_cli", "-F", "-N", "8", "-n", "16",
+                "-t", "8m", "-b", "32m"], check=True)
+peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mib < 256, f"discard-mode ior_cli peaked at {peak_mib:.0f} MiB (limit 256)"
+print(f"bench-smoke OK: discard-mode ior_cli peak RSS {peak_mib:.0f} MiB")
 EOF
   stage_end
 fi
